@@ -4,6 +4,10 @@
  * built from: constant-time selects, oblivious scans, hash encoding,
  * bucket encryption, and single ORAM accesses. These are the unit costs
  * behind every figure; regressions here shift every curve.
+ *
+ * The packed-GEMM comparison (BM_GemmKernel*) runs only in `gemm-kernel`
+ * mode, so secemb-bench-all times and gates it once; an explicit
+ * --benchmark_filter overrides either mode's selection.
  */
 
 #include <benchmark/benchmark.h>
@@ -369,7 +373,7 @@ BM_GemmKernelPacked(benchmark::State& state)
     Tensor c({m, n});
     for (auto _ : state) {
         const auto packed = kernels::PackedWeightCache::Instance().Get(
-            w.data(), k, n, /*transposed_src=*/false);
+            w, /*transposed_src=*/false);
         kernels::GemmArgs args;
         args.a = x.data();
         args.b = packed.get();
@@ -614,10 +618,14 @@ main(int argc, char** argv)
             passthrough.push_back(argv[i]);
         }
     }
-    // The mode restricts the run to the kernel comparison unless the
-    // caller supplied an explicit filter of their own.
+    // The mode restricts the run to the kernel comparison, and the
+    // default mode leaves it out (it is timed once, in gemm-kernel mode),
+    // unless the caller supplied an explicit filter of their own.
     static char gemm_filter[] = "--benchmark_filter=^BM_GemmKernel";
-    if (gemm_mode && !user_filter) passthrough.push_back(gemm_filter);
+    static char no_gemm_filter[] = "--benchmark_filter=-^BM_GemmKernel";
+    if (!user_filter) {
+        passthrough.push_back(gemm_mode ? gemm_filter : no_gemm_filter);
+    }
     int filtered_argc = static_cast<int>(passthrough.size());
     benchmark::Initialize(&filtered_argc, passthrough.data());
     if (benchmark::ReportUnrecognizedArguments(filtered_argc,

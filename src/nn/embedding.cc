@@ -35,8 +35,9 @@ EmbeddingTable::Backward(std::span<const int64_t> indices,
     const int64_t n = static_cast<int64_t>(indices.size());
     const int64_t d = dim();
     assert(grad_out.size(0) == n && grad_out.size(1) == d);
+    float* grad = weight_.MutableGrad().data();
     for (int64_t i = 0; i < n; ++i) {
-        float* g = weight_.grad.data() + indices[static_cast<size_t>(i)] * d;
+        float* g = grad + indices[static_cast<size_t>(i)] * d;
         const float* go = grad_out.data() + i * d;
         for (int64_t j = 0; j < d; ++j) g[j] += go[j];
     }

@@ -70,12 +70,12 @@ Linear::Backward(const Tensor& grad_out)
     // dW += x^T g ; accumulate into existing grad.
     Tensor dw({in_features(), out_features()});
     GemmAT(cached_x_, g, dw, nthreads_);
-    w_.grad.AddInPlace(dw);
+    w_.MutableGrad().AddInPlace(dw);
 
     // db += column sums of g.
+    float* db = b_.MutableGrad().data();
     for (int64_t i = 0; i < m; ++i) {
         const float* gi = g.data() + i * n;
-        float* db = b_.grad.data();
         for (int64_t j = 0; j < n; ++j) db[j] += gi[j];
     }
 
@@ -245,12 +245,12 @@ LayerNorm::Backward(const Tensor& grad_out)
     const int64_t rows = grad_out.size(0), d = grad_out.size(1);
     Tensor dx({rows, d});
     const float* g = gamma_.value.data();
+    float* dgi = gamma_.MutableGrad().data();
+    float* dbi = beta_.MutableGrad().data();
     for (int64_t i = 0; i < rows; ++i) {
         const float* go = grad_out.data() + i * d;
         const float* xh = cached_xhat_.data() + i * d;
         const float inv_std = cached_inv_std_.at(i);
-        float* dgi = gamma_.grad.data();
-        float* dbi = beta_.grad.data();
 
         // dgamma/dbeta accumulation and intermediate sums.
         double sum_gxh = 0.0, sum_g = 0.0;

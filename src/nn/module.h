@@ -20,18 +20,27 @@
 
 namespace secemb::nn {
 
-/** A trainable tensor with its gradient accumulator. */
+/**
+ * A trainable tensor with its gradient accumulator. The gradient is
+ * allocated, zero-filled, on first use (a backward pass, ZeroGrad or an
+ * optimiser step), so inference-only models hold no gradient buffers.
+ */
 struct Parameter
 {
     Tensor value;
-    Tensor grad;
+    Tensor grad;  ///< empty until MutableGrad(); then value's shape
 
-    explicit Parameter(Tensor v)
-        : value(std::move(v)), grad(Tensor::Zeros(value.shape()))
+    explicit Parameter(Tensor v) : value(std::move(v)) {}
+
+    /** The gradient, allocated zero-filled on first use. */
+    Tensor&
+    MutableGrad()
     {
+        if (grad.shape() != value.shape()) grad = Tensor::Zeros(value.shape());
+        return grad;
     }
 
-    void ZeroGrad() { grad.Fill(0.0f); }
+    void ZeroGrad() { MutableGrad().Fill(0.0f); }
     int64_t numel() const { return value.numel(); }
 };
 

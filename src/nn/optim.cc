@@ -21,7 +21,7 @@ Sgd::Step()
     for (size_t i = 0; i < params_.size(); ++i) {
         Parameter* p = params_[i];
         float* w = p->value.data();
-        const float* g = p->grad.data();
+        const float* g = p->MutableGrad().data();
         if (momentum_ == 0.0f) {
             for (int64_t j = 0; j < p->numel(); ++j) w[j] -= lr_ * g[j];
         } else {
@@ -59,7 +59,7 @@ Adam::Step()
     for (size_t i = 0; i < params_.size(); ++i) {
         Parameter* p = params_[i];
         float* w = p->value.data();
-        const float* g = p->grad.data();
+        const float* g = p->MutableGrad().data();
         float* m = m_[i].data();
         float* v = v_[i].data();
         for (int64_t j = 0; j < p->numel(); ++j) {

@@ -112,7 +112,7 @@ GemmWeightBT(const Tensor& a, const Tensor& w, Tensor& c, int nthreads,
     AssertKernelAlignment(a, c);
 
     const auto packed = kernels::PackedWeightCache::Instance().Get(
-        w.data(), k, n, /*transposed_src=*/true, dtype);
+        w, /*transposed_src=*/true, dtype);
     kernels::GemmArgs args;
     args.a = a.data();
     args.b = packed.get();
@@ -185,7 +185,7 @@ AffineActForward(const Tensor& x, const Tensor& w, const Tensor& bias,
     AssertKernelAlignment(x, y);
 
     const auto packed = kernels::PackedWeightCache::Instance().Get(
-        w.data(), k, n, /*transposed_src=*/false, dtype);
+        w, /*transposed_src=*/false, dtype);
     kernels::GemmArgs args;
     args.a = x.data();
     args.b = packed.get();

@@ -11,6 +11,7 @@
 
 #include "telemetry/telemetry.h"
 #include "tensor/kernels/driver.h"
+#include "tensor/tensor.h"
 
 namespace secemb::kernels {
 
@@ -278,6 +279,8 @@ PackB(const float* b, int64_t k, int64_t n, bool transposed_src, Isa isa,
       Dtype dtype, PackedB* out)
 {
     assert(b != nullptr || k * n == 0);
+    TELEMETRY_SPAN("kernels.pack_b");
+    TELEMETRY_SCOPED_LATENCY("kernels.pack_b.ns");
     isa = EffectiveIsaFor(isa, dtype);
     const detail::TierOps& ops = OpsFor(isa);
     out->k = k;
@@ -286,7 +289,7 @@ PackB(const float* b, int64_t k, int64_t n, bool transposed_src, Isa isa,
     out->isa = isa;
     out->dtype = dtype;
     out->transposed_src = transposed_src;
-    out->content_hash = 0;
+    out->version = 0;
     out->data.clear();
     out->qdata.clear();
     out->col_scales.clear();
@@ -322,33 +325,6 @@ PackB(const float* b, int64_t k, int64_t n, bool transposed_src, Isa isa,
     }
     TELEMETRY_COUNT("kernels.pack_b.calls", 1);
     TELEMETRY_COUNT("kernels.pack_b.floats", k * n);
-}
-
-uint64_t
-HashWeights(const float* data, int64_t count)
-{
-    // Multiply-xor over 8-byte words: fast change detection for the
-    // packed-weight cache, not adversarial hashing.
-    constexpr uint64_t kMul = 0x9E3779B97F4A7C15ull;
-    uint64_t h = 0x243F6A8885A308D3ull ^
-                 (static_cast<uint64_t>(count) * kMul);
-    const auto* bytes = reinterpret_cast<const unsigned char*>(data);
-    size_t remaining = static_cast<size_t>(count) * sizeof(float);
-    while (remaining >= 8) {
-        uint64_t w;
-        std::memcpy(&w, bytes, 8);
-        h = (h ^ w) * kMul;
-        h ^= h >> 29;
-        bytes += 8;
-        remaining -= 8;
-    }
-    if (remaining > 0) {
-        uint64_t w = 0;
-        std::memcpy(&w, bytes, remaining);
-        h = (h ^ w) * kMul;
-        h ^= h >> 29;
-    }
-    return h * kMul;
 }
 
 void
@@ -411,14 +387,39 @@ struct CacheKeyHash
     }
 };
 
+struct CacheEntry
+{
+    std::shared_ptr<const PackedB> packed;
+#if defined(SECEMB_WEIGHT_CACHE_CHECK)
+    uint64_t checksum = 0;  ///< source weights at pack time
+#endif
+};
+
+#if defined(SECEMB_WEIGHT_CACHE_CHECK)
+/**
+ * Sanitizer builds only: FNV-1a over the source weights. A hit whose
+ * source no longer matches was written through a pointer the version
+ * never saw (the one write the cache contract forbids).
+ */
+uint64_t
+SourceChecksum(const float* w, int64_t count)
+{
+    uint64_t h = 0xCBF29CE484222325ull;
+    for (int64_t i = 0; i < count; ++i) {
+        uint32_t bits;
+        std::memcpy(&bits, w + i, sizeof(bits));
+        h = (h ^ bits) * 0x100000001B3ull;
+    }
+    return h;
+}
+#endif
+
 }  // namespace
 
 struct PackedWeightCache::Impl
 {
     mutable std::mutex mu;
-    std::unordered_map<CacheKey, std::shared_ptr<const PackedB>,
-                       CacheKeyHash>
-        entries;
+    std::unordered_map<CacheKey, CacheEntry, CacheKeyHash> entries;
     Stats stats;
 };
 
@@ -437,33 +438,48 @@ PackedWeightCache::Instance()
 }
 
 std::shared_ptr<const PackedB>
-PackedWeightCache::Get(const float* w, int64_t k, int64_t n,
-                       bool transposed_src, Dtype dtype)
+PackedWeightCache::Get(const Tensor& w, bool transposed_src, Dtype dtype)
 {
+    assert(w.dim() == 2);
+    const int64_t k = w.size(transposed_src ? 1 : 0);
+    const int64_t n = w.size(transposed_src ? 0 : 1);
     const Isa isa = EffectiveIsaFor(ActiveIsa(), dtype);
-    // Hash outside the lock: it reads the whole weight buffer (an
-    // input-independent, whole-region access) and is the staleness
-    // check that makes in-place weight updates safe to cache under.
-    // Quantized entries revalidate against the same f32 source hash.
-    const uint64_t hash = HashWeights(w, k * n);
-    const CacheKey key{reinterpret_cast<uintptr_t>(w), k, n,
+    // The version is the whole staleness check: every write path to
+    // the tensor changes it, so nothing here reads the weights.
+    const uint64_t version = w.version();
+    const CacheKey key{reinterpret_cast<uintptr_t>(w.data()), k, n,
                        transposed_src, static_cast<int>(isa),
                        static_cast<int>(dtype)};
 
     Impl& im = impl();
     std::unique_lock<std::mutex> lock(im.mu);
     auto it = im.entries.find(key);
-    if (it != im.entries.end() && it->second->content_hash == hash) {
+    if (it != im.entries.end() && it->second.packed->version == version) {
         ++im.stats.hits;
         TELEMETRY_COUNT("kernels.cache.hits", 1);
-        return it->second;
+#if defined(SECEMB_WEIGHT_CACHE_CHECK)
+        if (SourceChecksum(w.data(), k * n) != it->second.checksum) {
+            std::fprintf(stderr,
+                         "secemb: PackedWeightCache hit on weights "
+                         "written without a version change (%lld x %lld)"
+                         "\n",
+                         static_cast<long long>(k),
+                         static_cast<long long>(n));
+            std::abort();
+        }
+#endif
+        return it->second.packed;
     }
     const bool repack = it != im.entries.end();
     lock.unlock();
 
     auto packed = std::make_shared<PackedB>();
-    PackB(w, k, n, transposed_src, isa, dtype, packed.get());
-    packed->content_hash = hash;
+    PackB(w.data(), k, n, transposed_src, isa, dtype, packed.get());
+    packed->version = version;
+    CacheEntry entry{packed};
+#if defined(SECEMB_WEIGHT_CACHE_CHECK)
+    entry.checksum = SourceChecksum(w.data(), k * n);
+#endif
 
     lock.lock();
     if (repack) {
@@ -473,7 +489,7 @@ PackedWeightCache::Get(const float* w, int64_t k, int64_t n,
         ++im.stats.misses;
         TELEMETRY_COUNT("kernels.cache.misses", 1);
     }
-    im.entries[key] = packed;
+    im.entries[key] = std::move(entry);
     return packed;
 }
 

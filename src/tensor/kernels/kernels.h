@@ -19,8 +19,9 @@
  * B operands are packed into 64-byte-aligned NR-wide column panels
  * (cache-blocked MC/KC/NC traversal); weight matrices are packed once
  * into a persistent process-wide cache keyed by buffer identity and
- * validated by content hash, so serving workloads pack each FC weight a
- * single time and reuse the panels across every batch.
+ * validated by the weight tensor's payload version, so serving
+ * workloads pack each FC weight a single time and reuse the panels
+ * across every batch.
  *
  * Obliviousness: control flow in every kernel depends only on shapes
  * (public in the threat model); the packed traversal touches the whole
@@ -34,6 +35,10 @@
 #include <memory>
 
 #include "tensor/aligned.h"
+
+namespace secemb {
+class Tensor;
+}  // namespace secemb
 
 namespace secemb::kernels {
 
@@ -198,7 +203,7 @@ struct PackedB
     Isa isa = Isa::kScalar;
     Dtype dtype = Dtype::kF32;
     bool transposed_src = false;  ///< packed from an n x k (B^T) source
-    uint64_t content_hash = 0;    ///< hash of the source weights
+    uint64_t version = 0;         ///< Tensor::version() packed from
     AlignedFloatVector data;      ///< kF32 panels
     AlignedByteVector qdata;      ///< kBf16 / kInt8 panels
     /** kInt8: dequant scale per padded column (panels() * nr). */
@@ -242,9 +247,6 @@ void PackB(const float* b, int64_t k, int64_t n, bool transposed_src,
 void PackB(const float* b, int64_t k, int64_t n, bool transposed_src,
            Isa isa, Dtype dtype, PackedB* out);
 
-/** Cheap 64-bit content hash used for packed-weight staleness checks. */
-uint64_t HashWeights(const float* data, int64_t count);
-
 // ---------------------------------------------------------------------------
 // Dispatched GEMM
 // ---------------------------------------------------------------------------
@@ -274,26 +276,36 @@ void GemmPacked(const GemmArgs& args);
 
 /**
  * Process-wide cache of packed weight panels, keyed by (buffer address,
- * shape, transposition, tier, precision). Every Get() rehashes the
- * source buffer and repacks on mismatch, so in-place optimiser updates
- * (and buffer reuse after frees) can never serve stale panels; the hash
- * pass is O(k*n) reads versus the GEMM's O(2*m*k*n) flops. Entries are
- * returned as shared_ptr so a Clear() or repack cannot invalidate
- * panels a running GEMM still holds. Quantize-on-pack: a quantized
- * precision's scales and integer panels are derived here, once, and
- * revalidated by the same f32 content hash. Thread-safe.
+ * shape, transposition, tier, precision) and validated by the source
+ * tensor's payload version (Tensor::version()). Get() compares one
+ * integer and never reads the weights, so a steady-state request is a
+ * pure hit. Every write path to a Tensor — the non-const accessors,
+ * copy and assignment, hence optimiser steps and LoadParameters — gives
+ * it a new version, and versions are process-wide unique, so a written
+ * weight or a new buffer at a reused address repacks instead of
+ * serving stale panels.
+ *
+ * The one write the version cannot see: a pointer or span taken from a
+ * non-const accessor before a GEMM on the same tensor and written
+ * through after it. Sanitizer builds (SECEMB_SANITIZE) re-checksum the
+ * source on every hit and abort on such a write.
+ *
+ * Entries are returned as shared_ptr so a Clear() or repack cannot
+ * invalidate panels a running GEMM still holds. Quantize-on-pack: a
+ * quantized precision's scales and integer panels are derived here,
+ * once, and validated by the same version. Thread-safe.
  */
 class PackedWeightCache
 {
   public:
     static PackedWeightCache& Instance();
 
-    /** Packed panels for weights `w` (k x n; n x k if transposed_src),
-     * packed for EffectiveIsaFor(ActiveIsa(), dtype). Packs on first
-     * use, content change, or first use at a new precision (distinct
-     * precisions keep distinct entries — switching back is a hit). */
-    std::shared_ptr<const PackedB> Get(const float* w, int64_t k,
-                                       int64_t n, bool transposed_src,
+    /** Packed panels for the 2-D weight tensor `w` (k x n; n x k if
+     * transposed_src), packed for EffectiveIsaFor(ActiveIsa(), dtype).
+     * Packs on first use, on a version change, or on first use at a new
+     * precision (distinct precisions keep distinct entries — switching
+     * back is a hit). */
+    std::shared_ptr<const PackedB> Get(const Tensor& w, bool transposed_src,
                                        Dtype dtype = Dtype::kF32);
 
     /** Drop all entries (tests; also releases panel memory). */
@@ -303,7 +315,7 @@ class PackedWeightCache
     {
         uint64_t hits = 0;
         uint64_t misses = 0;    ///< first-time packs
-        uint64_t repacks = 0;   ///< content-hash mismatches
+        uint64_t repacks = 0;   ///< entry found at a stale version
     };
     Stats stats() const;
     size_t entries() const;

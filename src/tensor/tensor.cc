@@ -19,6 +19,9 @@ ShapeNumel(const Shape& shape)
 
 namespace {
 
+/** Source of every payload version; 0 is reserved for "unobserved". */
+std::atomic<uint64_t> g_next_version{1};
+
 /** numel with dimension validation; runs before storage is allocated. */
 int64_t
 CheckedNumel(const Shape& shape)
@@ -30,6 +33,20 @@ CheckedNumel(const Shape& shape)
 }
 
 }  // namespace
+
+uint64_t
+Tensor::PayloadVersion::Get() const
+{
+    uint64_t v = stamp_.load(std::memory_order_relaxed);
+    if (v != 0) return v;
+    const uint64_t fresh =
+        g_next_version.fetch_add(1, std::memory_order_relaxed);
+    // A concurrent reader may publish first; then both use its version.
+    return stamp_.compare_exchange_strong(v, fresh,
+                                          std::memory_order_relaxed)
+               ? fresh
+               : v;
+}
 
 Tensor::Tensor(Shape shape)
     : shape_(std::move(shape)),
@@ -110,6 +127,7 @@ float&
 Tensor::at(int64_t i)
 {
     assert(i >= 0 && i < numel());
+    version_.Invalidate();
     return data_[static_cast<size_t>(i)];
 }
 
@@ -123,6 +141,7 @@ Tensor::at(int64_t i) const
 float&
 Tensor::at(int64_t i, int64_t j)
 {
+    version_.Invalidate();
     return data_[static_cast<size_t>(Offset2(i, j))];
 }
 
@@ -135,6 +154,7 @@ Tensor::at(int64_t i, int64_t j) const
 float&
 Tensor::at(int64_t i, int64_t j, int64_t k)
 {
+    version_.Invalidate();
     return data_[static_cast<size_t>(Offset3(i, j, k))];
 }
 
@@ -148,6 +168,7 @@ std::span<float>
 Tensor::row(int64_t i)
 {
     assert(dim() == 2 && i >= 0 && i < shape_[0]);
+    version_.Invalidate();
     return {data_.data() + i * shape_[1], static_cast<size_t>(shape_[1])};
 }
 
@@ -186,6 +207,7 @@ Tensor::Transpose2D() const
 Tensor&
 Tensor::Fill(float value)
 {
+    version_.Invalidate();
     std::fill(data_.begin(), data_.end(), value);
     return *this;
 }
@@ -193,6 +215,7 @@ Tensor::Fill(float value)
 Tensor&
 Tensor::AddInPlace(const Tensor& other)
 {
+    version_.Invalidate();
     assert(numel() == other.numel());
     for (size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
     return *this;
@@ -201,6 +224,7 @@ Tensor::AddInPlace(const Tensor& other)
 Tensor&
 Tensor::SubInPlace(const Tensor& other)
 {
+    version_.Invalidate();
     assert(numel() == other.numel());
     for (size_t i = 0; i < data_.size(); ++i) data_[i] -= other.data_[i];
     return *this;
@@ -209,6 +233,7 @@ Tensor::SubInPlace(const Tensor& other)
 Tensor&
 Tensor::MulInPlace(const Tensor& other)
 {
+    version_.Invalidate();
     assert(numel() == other.numel());
     for (size_t i = 0; i < data_.size(); ++i) data_[i] *= other.data_[i];
     return *this;
@@ -217,6 +242,7 @@ Tensor::MulInPlace(const Tensor& other)
 Tensor&
 Tensor::ScaleInPlace(float s)
 {
+    version_.Invalidate();
     for (float& v : data_) v *= s;
     return *this;
 }
@@ -224,6 +250,7 @@ Tensor::ScaleInPlace(float s)
 Tensor&
 Tensor::AddScalarInPlace(float s)
 {
+    version_.Invalidate();
     for (float& v : data_) v += s;
     return *this;
 }

@@ -9,6 +9,7 @@
  * evaluation only needs dense GEMM, elementwise math, and gather/scatter.
  */
 
+#include <atomic>
 #include <cstdint>
 #include <initializer_list>
 #include <span>
@@ -30,6 +31,15 @@ using Shape = std::vector<int64_t>;
  * debug builds via assert and unchecked in release builds. Payloads are
  * allocated 64-byte aligned (see tensor/aligned.h): the SIMD GEMM and
  * scan kernels rely on data() being cache-line/vector aligned.
+ *
+ * Every payload carries a version(). Allocation,
+ * copy and assignment give a new version, and so does every non-const
+ * accessor that hands out write access — data(), flat(), at(), row(),
+ * Fill and the *InPlace members — whether or not the caller writes.
+ * Read-only callers should hold the tensor as const. The version cannot
+ * see writes through a pointer or span taken before the version was
+ * last read: do not keep a non-const data()/row()/flat() across a GEMM
+ * that uses this tensor as a weight and write through it afterwards.
  */
 class Tensor
 {
@@ -67,9 +77,22 @@ class Tensor
     int64_t numel() const { return static_cast<int64_t>(data_.size()); }
     bool empty() const { return data_.empty(); }
 
-    float* data() { return data_.data(); }
+    /** Payload version; changes on every write access (see above). */
+    uint64_t version() const { return version_.Get(); }
+
+    float*
+    data()
+    {
+        version_.Invalidate();
+        return data_.data();
+    }
     const float* data() const { return data_.data(); }
-    std::span<float> flat() { return data_; }
+    std::span<float>
+    flat()
+    {
+        version_.Invalidate();
+        return data_;
+    }
     std::span<const float> flat() const { return data_; }
 
     // -- Element access ----------------------------------------------------
@@ -129,8 +152,54 @@ class Tensor
     bool AllClose(const Tensor& other, float tol = 1e-5f) const;
 
   private:
+    /**
+     * Version stamp of the payload: the staleness key of the packed
+     * weight cache (kernels::PackedWeightCache).
+     *
+     * Versions come from one process-wide counter, so no two payloads
+     * (live at once, or one after the other, even at a reused address)
+     * ever report the same version. A write invalidates the stamp and
+     * the next Get() draws a fresh one, so every observation after a
+     * write differs from every observation before it. Copying takes no
+     * version from the source: a copied or assigned payload is new.
+     *
+     * Invalidation is one relaxed load (plus a relaxed store when the
+     * stamp was observed since the last write); it never touches the
+     * shared counter, so writers in ParallelFor bodies neither race
+     * nor contend.
+     */
+    class PayloadVersion
+    {
+      public:
+        PayloadVersion() = default;
+        PayloadVersion(const PayloadVersion&) noexcept {}
+        PayloadVersion&
+        operator=(const PayloadVersion&) noexcept
+        {
+            Invalidate();
+            return *this;
+        }
+
+        /** Mark the payload written: the next Get() draws a new one. */
+        void
+        Invalidate()
+        {
+            if (stamp_.load(std::memory_order_relaxed) != 0) {
+                stamp_.store(0, std::memory_order_relaxed);
+            }
+        }
+
+        /** Current version (never 0), stable until Invalidate(). */
+        uint64_t Get() const;
+
+      private:
+        /** 0 = written since last observed; drawn lazily by Get(). */
+        mutable std::atomic<uint64_t> stamp_{0};
+    };
+
     Shape shape_;
     AlignedFloatVector data_;
+    PayloadVersion version_;
 
     int64_t Offset2(int64_t i, int64_t j) const;
     int64_t Offset3(int64_t i, int64_t j, int64_t k) const;

@@ -5,7 +5,8 @@
  * Seeded property tests compare every compiled ISA tier against the
  * naive reference loops across odd/tail shapes, the fused epilogue
  * against separate bias/activation passes, and the persistent
- * packed-weight cache against in-place weight mutation. The
+ * packed-weight cache against every way a weight tensor can be written
+ * (each must change its version and force a repack). The
  * low-precision sections hold the int8/bf16 tiers to a derived
  * per-element quantization error bound against the f32 naive
  * reference, pin cross-tier int8 bit-identity (all tiers share one
@@ -16,12 +17,23 @@
  * which precision — runs underneath (label `leakage`).
  */
 
+#include <unistd.h>
+
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <filesystem>
+#include <set>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "nn/layers.h"
+#include "nn/optim.h"
+#include "nn/serialize.h"
+#include "telemetry/telemetry.h"
 #include "tensor/aligned.h"
 #include "tensor/gemm.h"
 #include "tensor/kernels/driver.h"
@@ -355,8 +367,8 @@ TEST(PackedWeightCacheTest, SecondGetHitsWithoutRepacking)
     const Tensor w = Tensor::Randn({24, 16}, rng);
 
     const auto before = cache.stats();
-    const auto p1 = cache.Get(w.data(), 24, 16, false);
-    const auto p2 = cache.Get(w.data(), 24, 16, false);
+    const auto p1 = cache.Get(w, false);
+    const auto p2 = cache.Get(w, false);
     const auto after = cache.stats();
 
     EXPECT_EQ(p1.get(), p2.get());
@@ -378,15 +390,19 @@ TEST(PackedWeightCacheTest, InPlaceMutationTriggersRepack)
 
     Tensor y1({8, 16});
     AffineForward(x, w, Tensor(), y1, 1, kernels::Dtype::kF32);
+    const uint64_t packed_version = w.version();
 
     // Optimiser-style in-place update: same buffer, new content. The
-    // cache must notice via the content hash and serve fresh panels.
+    // write gives the tensor a new version, so the cache repacks.
     w.ScaleInPlace(2.0f);
+    EXPECT_NE(w.version(), packed_version);
     const auto before = cache.stats();
     Tensor y2({8, 16});
     AffineForward(x, w, Tensor(), y2, 1, kernels::Dtype::kF32);
     const auto after = cache.stats();
     EXPECT_EQ(after.repacks - before.repacks, 1u);
+    EXPECT_EQ(after.hits - before.hits, 0u);
+    EXPECT_EQ(cache.Get(w, false)->version, w.version());
 
     Tensor want({8, 16});
     GemmNaive(x, w, want);
@@ -402,8 +418,8 @@ TEST(PackedWeightCacheTest, TransposedAndPlainPacksAreDistinct)
     cache.Clear();
     Rng rng(117);
     const Tensor w = Tensor::Randn({16, 16}, rng);
-    const auto plain = cache.Get(w.data(), 16, 16, false);
-    const auto trans = cache.Get(w.data(), 16, 16, true);
+    const auto plain = cache.Get(w, false);
+    const auto trans = cache.Get(w, true);
     EXPECT_NE(plain.get(), trans.get());
     EXPECT_EQ(cache.entries(), 2u);
     cache.Clear();
@@ -417,7 +433,7 @@ TEST(PackedWeightCacheTest, EntriesSurviveClearWhileHeld)
     cache.Clear();
     Rng rng(119);
     const Tensor w = Tensor::Randn({8, 8}, rng);
-    const auto held = cache.Get(w.data(), 8, 8, false);
+    const auto held = cache.Get(w, false);
     cache.Clear();
     EXPECT_EQ(held->k, 8);
     EXPECT_EQ(held->n, 8);
@@ -440,7 +456,7 @@ TEST(APackScratchTest, ScratchShrinksAfterLargePack)
         const Tensor a = Tensor::Randn({m, k}, rng);
         const Tensor b = Tensor::Randn({k, 8}, rng);
         Tensor c({m, 8});
-        const auto packed = cache.Get(b.data(), k, 8, false);
+        const auto packed = cache.Get(b, false);
         kernels::GemmArgs args;
         args.a = a.data();
         args.b = packed.get();
@@ -751,9 +767,9 @@ TEST(PackedWeightCacheTest, PrecisionSwitchKeepsDistinctEntries)
     Rng rng(141);
     const Tensor w = Tensor::Randn({24, 16}, rng);
 
-    const auto f32 = cache.Get(w.data(), 24, 16, false, Dtype::kF32);
-    const auto i8 = cache.Get(w.data(), 24, 16, false, Dtype::kInt8);
-    const auto bf = cache.Get(w.data(), 24, 16, false, Dtype::kBf16);
+    const auto f32 = cache.Get(w, false, Dtype::kF32);
+    const auto i8 = cache.Get(w, false, Dtype::kInt8);
+    const auto bf = cache.Get(w, false, Dtype::kBf16);
     EXPECT_NE(f32.get(), i8.get());
     EXPECT_NE(f32.get(), bf.get());
     EXPECT_NE(i8.get(), bf.get());
@@ -764,7 +780,7 @@ TEST(PackedWeightCacheTest, PrecisionSwitchKeepsDistinctEntries)
 
     // Switching back is a hit, not a repack.
     const auto before = cache.stats();
-    const auto again = cache.Get(w.data(), 24, 16, false, Dtype::kF32);
+    const auto again = cache.Get(w, false, Dtype::kF32);
     const auto after = cache.stats();
     EXPECT_EQ(again.get(), f32.get());
     EXPECT_EQ(after.hits - before.hits, 1u);
@@ -774,8 +790,8 @@ TEST(PackedWeightCacheTest, PrecisionSwitchKeepsDistinctEntries)
 
 TEST(PackedWeightCacheTest, MutationRepacksQuantizedEntry)
 {
-    // Content-hash revalidation is precision-independent: an in-place
-    // weight update must re-quantize the int8 panels too.
+    // Version validation is precision-independent: an in-place weight
+    // update must re-quantize the int8 panels too.
     auto& cache = kernels::PackedWeightCache::Instance();
     cache.Clear();
     Rng rng(143);
@@ -784,17 +800,303 @@ TEST(PackedWeightCacheTest, MutationRepacksQuantizedEntry)
 
     Tensor y1({4, 16});
     AffineForward(x, w, Tensor(), y1, 1, Dtype::kInt8);
+    const uint64_t packed_version = w.version();
     w.ScaleInPlace(2.0f);
+    EXPECT_NE(w.version(), packed_version);
     const auto before = cache.stats();
     Tensor y2({4, 16});
     AffineForward(x, w, Tensor(), y2, 1, Dtype::kInt8);
     const auto after = cache.stats();
     EXPECT_EQ(after.repacks - before.repacks, 1u);
+    EXPECT_EQ(cache.Get(w, false, Dtype::kInt8)->version, w.version());
     // Symmetric quantization commutes with scaling, so the int8 result
     // doubles exactly.
     EXPECT_LE(MaxRelError(y2, y1.Scale(2.0f)), kRelTol);
     cache.Clear();
 }
+
+// ---------------------------------------------------------------------------
+// Versioned weights: every write path repacks, frozen weights never do
+// ---------------------------------------------------------------------------
+
+/** The ways a weight tensor can be written after it was packed. */
+enum class WritePath
+{
+    kData,
+    kFlat,
+    kAt,
+    kRow,
+    kFill,
+    kScaleInPlace,
+    kAddInPlace,
+    kCopyAssign,
+    kMoveAssign,
+    kSgdStep,
+    kAdamStep,
+    kLoadParameters,
+};
+
+const char*
+WritePathName(WritePath path)
+{
+    switch (path) {
+        case WritePath::kData: return "data";
+        case WritePath::kFlat: return "flat";
+        case WritePath::kAt: return "at";
+        case WritePath::kRow: return "row";
+        case WritePath::kFill: return "Fill";
+        case WritePath::kScaleInPlace: return "ScaleInPlace";
+        case WritePath::kAddInPlace: return "AddInPlace";
+        case WritePath::kCopyAssign: return "CopyAssign";
+        case WritePath::kMoveAssign: return "MoveAssign";
+        case WritePath::kSgdStep: return "SgdStep";
+        case WritePath::kAdamStep: return "AdamStep";
+        case WritePath::kLoadParameters: return "LoadParameters";
+    }
+    return "?";
+}
+
+/**
+ * Writes the packed weight of `layer` through `path`. Every path moves
+ * the weights far from the packed ones, so a stale panel could not pass
+ * the caller's error bound.
+ */
+void
+WriteThrough(WritePath path, nn::Linear& layer, Rng& rng)
+{
+    Tensor& w = layer.weight().value;
+    const int64_t k = w.size(0), n = w.size(1);
+    switch (path) {
+        case WritePath::kData:
+            for (int64_t i = 0; i < w.numel(); ++i) w.data()[i] += 1.0f;
+            break;
+        case WritePath::kFlat:
+            for (float& v : w.flat()) v = -3.0f * v;
+            break;
+        case WritePath::kAt:
+            for (int64_t i = 0; i < k; ++i) {
+                for (int64_t j = 0; j < n; ++j) w.at(i, j) += 0.5f;
+            }
+            break;
+        case WritePath::kRow:
+            for (int64_t i = 0; i < k; ++i) {
+                for (float& v : w.row(i)) v = 2.0f - v;
+            }
+            break;
+        case WritePath::kFill:
+            w.Fill(0.25f);
+            break;
+        case WritePath::kScaleInPlace:
+            w.ScaleInPlace(-2.0f);
+            break;
+        case WritePath::kAddInPlace:
+            w.AddInPlace(Tensor::Full({k, n}, 1.0f));
+            break;
+        case WritePath::kCopyAssign: {
+            const Tensor other = Tensor::Randn({k, n}, rng, 2.0f);
+            w = other;
+            break;
+        }
+        case WritePath::kMoveAssign:
+            w = Tensor::Randn({k, n}, rng, 2.0f);
+            break;
+        case WritePath::kSgdStep:
+        case WritePath::kAdamStep: {
+            for (nn::Parameter* p : layer.Parameters()) {
+                p->grad = Tensor::Randn(p->value.shape(), rng);
+            }
+            if (path == WritePath::kSgdStep) {
+                nn::Sgd(layer.Parameters(), /*lr=*/1.0f).Step();
+            } else {
+                nn::Adam(layer.Parameters(), /*lr=*/0.5f).Step();
+            }
+            break;
+        }
+        case WritePath::kLoadParameters: {
+            Rng other_rng(rng.Next());
+            nn::Linear other(k, n, other_rng);
+            other.weight().value.ScaleInPlace(4.0f);
+            const std::string file =
+                (std::filesystem::temp_directory_path() /
+                 ("secemb_kernel_test_" + std::to_string(::getpid()) +
+                  ".params"))
+                    .string();
+            nn::SaveParameters(other.Parameters(), file);
+            nn::LoadParameters(layer.Parameters(), file);
+            std::remove(file.c_str());
+            break;
+        }
+    }
+}
+
+class WeightWritePathTest
+    : public ::testing::TestWithParam<std::tuple<WritePath, Dtype>>
+{
+};
+
+TEST_P(WeightWritePathTest, WriteRepacksAndMatchesNaive)
+{
+    const auto [path, dtype] = GetParam();
+    auto& cache = kernels::PackedWeightCache::Instance();
+    cache.Clear();
+    Rng rng(151 + static_cast<uint64_t>(path));
+    constexpr int64_t kM = 5, kK = 40, kN = 24;
+    nn::Linear layer(kK, kN, rng);
+    const Tensor x = Tensor::Randn({kM, kK}, rng);
+
+    Tensor y({kM, kN});
+    AffineForward(x, layer.weight().value, Tensor(), y, 1, dtype);
+    const uint64_t packed_version = layer.weight().value.version();
+
+    WriteThrough(path, layer, rng);
+    const Tensor& w = layer.weight().value;
+    EXPECT_NE(w.version(), packed_version);
+
+    const auto before = cache.stats();
+    AffineForward(x, w, Tensor(), y, 1, dtype);
+    const auto after = cache.stats();
+    // A buffer written in place repacks its entry; a new buffer (move
+    // assignment, LoadParameters) is a first pack at a new address.
+    EXPECT_EQ(after.hits - before.hits, 0u);
+    EXPECT_EQ((after.repacks - before.repacks) +
+                  (after.misses - before.misses),
+              1u);
+
+    Tensor want({kM, kN});
+    GemmNaive(x, w, want);
+    const Tensor bound = QuantErrorBound(x, w, dtype);
+    for (int64_t i = 0; i < want.numel(); ++i) {
+        const float tol =
+            bound.at(i) + kRelTol * std::max(1.0f, std::fabs(want.at(i)));
+        ASSERT_LE(std::fabs(y.at(i) - want.at(i)), tol) << "elem " << i;
+    }
+    cache.Clear();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryWritePath, WeightWritePathTest,
+    ::testing::Combine(
+        ::testing::Values(WritePath::kData, WritePath::kFlat,
+                          WritePath::kAt, WritePath::kRow,
+                          WritePath::kFill, WritePath::kScaleInPlace,
+                          WritePath::kAddInPlace, WritePath::kCopyAssign,
+                          WritePath::kMoveAssign, WritePath::kSgdStep,
+                          WritePath::kAdamStep,
+                          WritePath::kLoadParameters),
+        ::testing::Values(Dtype::kF32, Dtype::kBf16, Dtype::kInt8)),
+    [](const auto& info) {
+        return std::string(WritePathName(std::get<0>(info.param))) + "_" +
+               kernels::DtypeName(std::get<1>(info.param));
+    });
+
+TEST(TensorVersionTest, LiveAndSuccessiveTensorsNeverShareAVersion)
+{
+    Rng rng(157);
+    std::set<uint64_t> seen;
+    std::vector<Tensor> live;
+    for (int i = 0; i < 64; ++i) {
+        live.push_back(Tensor::Randn({8, 8}, rng));
+        EXPECT_NE(live.back().version(), 0u);
+    }
+    for (const Tensor& t : live) {
+        EXPECT_TRUE(seen.insert(t.version()).second);
+    }
+    // A copy is a new payload, and the source keeps its version.
+    const uint64_t source_version = live[0].version();
+    const Tensor copy = live[0];
+    EXPECT_TRUE(seen.insert(copy.version()).second);
+    EXPECT_EQ(live[0].version(), source_version);
+    // Successive tensors, typically at the address just freed: the
+    // process-wide counter never hands a version out twice.
+    for (int i = 0; i < 64; ++i) {
+        const Tensor t = Tensor::Randn({8, 8}, rng);
+        EXPECT_TRUE(seen.insert(t.version()).second);
+    }
+    // Reads through a const view leave the version alone.
+    const Tensor& view = live[1];
+    const uint64_t v = view.version();
+    (void)view.data();
+    (void)view.at(0);
+    (void)view.row(0);
+    (void)view.flat();
+    EXPECT_EQ(view.version(), v);
+}
+
+TEST(PackedWeightCacheTest, FrozenWeightsNeverRepack)
+{
+    auto& cache = kernels::PackedWeightCache::Instance();
+    cache.Clear();
+    Rng rng(159);
+    nn::Linear layer(64, 32, rng, /*nthreads=*/1,
+                     kernels::Activation::kRelu);
+    const Tensor x = Tensor::Randn({4, 64}, rng);
+    const uint64_t version = layer.weight().value.version();
+    const Tensor first = layer.Forward(x);
+    for (int i = 1; i < 100; ++i) {
+        ASSERT_TRUE(layer.Forward(x).AllClose(first, 0.0f)) << i;
+    }
+    const auto stats = cache.stats();
+    EXPECT_EQ(stats.misses, 1u);
+    EXPECT_EQ(stats.hits, 99u);
+    EXPECT_EQ(stats.repacks, 0u);
+    EXPECT_EQ(layer.weight().value.version(), version);
+    cache.Clear();
+}
+
+#if SECEMB_TELEMETRY_ENABLED
+TEST(PackedWeightCacheTest, PacksShowAsSpansAndHitsDoNot)
+{
+    // A repack storm must be visible: every pack records a
+    // `kernels.pack_b` span and a `kernels.pack_b.ns` latency sample,
+    // while a hit records neither.
+    const bool was_enabled = telemetry::Enabled();
+    telemetry::SetEnabled(true);
+    auto& cache = kernels::PackedWeightCache::Instance();
+    cache.Clear();
+    telemetry::ClearSpans();
+    auto& hist =
+        telemetry::Registry::Instance().GetHistogram("kernels.pack_b.ns");
+    const auto count_packs = [] {
+        int n = 0;
+        for (const auto& span : telemetry::CollectSpans()) {
+            n += std::string(span.name) == "kernels.pack_b" ? 1 : 0;
+        }
+        return n;
+    };
+    Rng rng(163);
+    Tensor w = Tensor::Randn({32, 16}, rng);
+    const uint64_t hist_before = hist.TakeSnapshot().count;
+    cache.Get(w, false);  // miss
+    cache.Get(w, false);  // hit
+    w.ScaleInPlace(0.5f);
+    cache.Get(w, false);  // repack
+    EXPECT_EQ(count_packs(), 2);
+    EXPECT_EQ(hist.TakeSnapshot().count - hist_before, 2u);
+    telemetry::SetEnabled(was_enabled);
+    cache.Clear();
+}
+#endif
+
+#if defined(SECEMB_WEIGHT_CACHE_CHECK)
+TEST(PackedWeightCacheDeathTest, SanitizerBuildCatchesUnversionedWrite)
+{
+    // The one write a version cannot see: through a pointer taken
+    // before the GEMM. Sanitizer builds re-checksum on every hit.
+    testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    auto& cache = kernels::PackedWeightCache::Instance();
+    cache.Clear();
+    Rng rng(161);
+    Tensor w = Tensor::Randn({16, 8}, rng);
+    const Tensor x = Tensor::Randn({2, 16}, rng);
+    float* raw = w.data();
+    Tensor y({2, 8});
+    AffineForward(x, w, Tensor(), y, 1, Dtype::kF32);
+    raw[0] += 1.0f;
+    EXPECT_DEATH(AffineForward(x, w, Tensor(), y, 1, Dtype::kF32),
+                 "written without a version change");
+    cache.Clear();
+}
+#endif
 
 TEST(KernelLowPrecisionTest, PrecisionSelectionPlumbing)
 {

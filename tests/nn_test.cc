@@ -78,6 +78,22 @@ TEST(LinearTest, WeightGradientCheck)
         w, lin.weight().grad);
 }
 
+TEST(LinearTest, InferenceAllocatesNoGradients)
+{
+    // Gradients are allocated by the first backward pass, not at
+    // construction: a serving model holds only its weights.
+    Rng rng(5);
+    Linear lin(6, 4, rng);
+    const Tensor x = Tensor::Randn({3, 6}, rng);
+    lin.Forward(x);
+    for (Parameter* p : lin.Parameters()) EXPECT_TRUE(p->grad.empty());
+    lin.Backward(Tensor::Ones({3, 4}));
+    for (Parameter* p : lin.Parameters()) {
+        EXPECT_EQ(p->grad.shape(), p->value.shape());
+    }
+    EXPECT_NEAR(lin.bias().grad.at(0), 3.0f, 1e-5f);
+}
+
 TEST(LinearTest, BiasGradientAccumulates)
 {
     Rng rng(4);
